@@ -31,7 +31,8 @@ Equivalence to the dict implementation (documented per property)
   entry-for-entry against the dict merge (hypothesis property).
 * **Bit-level — the two engines.**  Given the *same*
   ``VectorizedNewscastOverlay`` class on both sides, the reference
-  ``CycleSimulator`` and the ``VectorizedCycleSimulator`` consume
+  ``CycleSimulator`` and the fast engine (``ReplicatedCycleSimulator``,
+  or its single-run form ``VectorizedCycleSimulator``) consume
   identical overlay randomness (both call ``after_cycle`` with the
   engine's ``overlay`` stream and draw peers through
   ``select_peers_batch``), so a root seed produces the same exchange

@@ -1,13 +1,17 @@
 """Simulation substrates: cycle-driven and event-driven engines, failures.
 
-Two cycle engines are provided: the reference
-:class:`~repro.simulator.cycle_sim.CycleSimulator`, which handles any
-opaque-state aggregation function, and the array-native
-:class:`~repro.simulator.vectorized.VectorizedCycleSimulator` fast path
-for functions implementing the array codec.  :func:`make_simulator` picks
-between them automatically.
+One reference and one fast cycle engine are provided.  The reference
+:class:`~repro.simulator.cycle_sim.CycleSimulator` handles any
+opaque-state aggregation function.  The array-native
+:class:`~repro.simulator.replicated.ReplicatedCycleSimulator` runs
+functions implementing the array codec, ``R`` repetitions at a time;
+:class:`~repro.simulator.vectorized.VectorizedCycleSimulator` is its
+single-run form.  :func:`make_simulator` picks between the two engines
+automatically and logs its choice at DEBUG level on the
+``repro.simulator`` logger.
 """
 
+import logging
 from typing import Optional
 
 from ..common.rng import RandomSource
@@ -149,12 +153,21 @@ __all__ = [
 ]
 
 
-def supports_fast_path(
-    function: AggregationFunction,
-    overlay: OverlayProvider,
-    transport: Optional[TransportModel] = None,
-    failure_model: Optional[FailureModel] = None,
-) -> bool:
+logger = logging.getLogger(__name__)
+
+
+def _fast_path_veto(
+    function: AggregationFunction, overlay: OverlayProvider
+) -> Optional[str]:
+    """Why the fast engine cannot run this configuration, or ``None``."""
+    if not function.supports_vectorized():
+        return f"{type(function).__name__} has no array codec"
+    if not hasattr(overlay, "select_peers_batch"):
+        return f"{type(overlay).__name__} has no batched peer selection"
+    return None
+
+
+def supports_fast_path(function: AggregationFunction, overlay: OverlayProvider) -> bool:
     """Whether the vectorised engine can run this configuration.
 
     The fast path needs an aggregation function with the array codec and
@@ -164,12 +177,9 @@ def supports_fast_path(
     dict-based reference ``NewscastOverlay`` stays on the reference
     engine.  Every transport and failure model is supported — transports
     classify outcomes in batch and failure models drive the engines
-    through the identical public membership API — so the two extra
-    parameters exist only so future models can veto the fast path without
-    changing call sites.
+    through the identical public membership API.
     """
-    del transport, failure_model
-    return function.supports_vectorized() and hasattr(overlay, "select_peers_batch")
+    return _fast_path_veto(function, overlay) is None
 
 
 def make_simulator(
@@ -190,15 +200,20 @@ def make_simulator(
     otherwise), ``"vectorized"`` or ``"reference"``.  Both engines consume
     randomness through the same batched cycle-plan discipline, so the
     choice changes speed, not results: a given root seed produces the same
-    exchange schedule either way.
+    exchange schedule either way.  The engine built, and the reason for
+    any ``"auto"`` fallback, are logged at DEBUG level.
     """
     if engine not in ("auto", "vectorized", "reference"):
         raise ValueError(f"unknown engine {engine!r}")
-    use_fast = engine == "vectorized" or (
-        engine == "auto"
-        and supports_fast_path(function, overlay, transport, failure_model)
-    )
+    if engine == "auto":
+        veto = _fast_path_veto(function, overlay)
+        use_fast = veto is None
+        if veto is not None:
+            logger.debug("engine='auto' falls back to the reference engine: %s", veto)
+    else:
+        use_fast = engine == "vectorized"
     simulator_class = VectorizedCycleSimulator if use_fast else CycleSimulator
+    logger.debug("make_simulator built %s (engine=%r)", simulator_class.__name__, engine)
     return simulator_class(
         overlay=overlay,
         function=function,

@@ -48,76 +48,12 @@ from .transport import (
     apply_reachability,
 )
 
-__all__ = ["CycleSimulator", "RecordingScheduleMixin"]
+__all__ = ["CycleSimulator"]
 
 InitialValues = Union[Sequence[Any], Mapping[int, Any]]
 
 
-class RecordingScheduleMixin:
-    """``record_every`` cadence bookkeeping shared by both cycle engines.
-
-    Hosts the pending exchange counters, the sampled-recording decision,
-    and the run loop; the concrete engine provides ``run_cycle`` and a
-    ``_flush_record`` that computes its metrics and calls
-    :meth:`_emit_record`.
-    """
-
-    _trace: SimulationTrace
-    _cycle_index: int
-
-    def _init_recording(self, record_every: int) -> None:
-        if record_every < 1:
-            raise ConfigurationError("record_every must be at least 1")
-        self._record_every = int(record_every)
-        self._pending_completed = 0
-        self._pending_failed = 0
-
-    def _maybe_record(self, completed: int, failed: int) -> Optional[CycleRecord]:
-        self._pending_completed += completed
-        self._pending_failed += failed
-        if self._cycle_index % self._record_every == 0:
-            return self._flush_record()
-        return None
-
-    def _emit_record(
-        self,
-        participant_count: int,
-        mean: float,
-        variance: float,
-        minimum: float,
-        maximum: float,
-    ) -> CycleRecord:
-        record = CycleRecord(
-            cycle=self._cycle_index,
-            participant_count=participant_count,
-            mean=mean,
-            variance=variance,
-            minimum=minimum,
-            maximum=maximum,
-            completed_exchanges=self._pending_completed,
-            failed_exchanges=self._pending_failed,
-        )
-        self._pending_completed = 0
-        self._pending_failed = 0
-        self._trace.add(record)
-        return record
-
-    def run(self, cycles: int) -> SimulationTrace:
-        """Run ``cycles`` consecutive cycles and return the trace.
-
-        With ``record_every > 1`` the final executed cycle is always
-        recorded, so ``trace.final`` reflects the end of the run.
-        """
-        if cycles < 0:
-            raise ConfigurationError("cycles must be non-negative")
-        for _ in range(cycles):
-            self.run_cycle()
-        if self._trace.final.cycle != self._cycle_index:
-            self._flush_record()
-        return self._trace
-
-
-class CycleSimulator(RecordingScheduleMixin):
+class CycleSimulator:
     """Run the push–pull aggregation protocol over an overlay, cycle by cycle.
 
     Parameters
@@ -164,7 +100,11 @@ class CycleSimulator(RecordingScheduleMixin):
         record_every: int = 1,
         reachability=None,
     ) -> None:
-        self._init_recording(record_every)
+        if record_every < 1:
+            raise ConfigurationError("record_every must be at least 1")
+        self._record_every = int(record_every)
+        self._pending_completed = 0
+        self._pending_failed = 0
         self._overlay = overlay
         self._function = function
         self._transport = transport
@@ -364,6 +304,20 @@ class CycleSimulator(RecordingScheduleMixin):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def run(self, cycles: int) -> SimulationTrace:
+        """Run ``cycles`` consecutive cycles and return the trace.
+
+        With ``record_every > 1`` the final executed cycle is always
+        recorded, so ``trace.final`` reflects the end of the run.
+        """
+        if cycles < 0:
+            raise ConfigurationError("cycles must be non-negative")
+        for _ in range(cycles):
+            self.run_cycle()
+        if self._trace.final.cycle != self._cycle_index:
+            self._flush_record()
+        return self._trace
+
     def run_cycle(self) -> Optional[CycleRecord]:
         """Execute one full cycle and return its measurement record.
 
@@ -427,7 +381,11 @@ class CycleSimulator(RecordingScheduleMixin):
             contact_counts[peer] += 1
 
         self._overlay.after_cycle(self._overlay_rng)
-        return self._maybe_record(completed, failed)
+        self._pending_completed += completed
+        self._pending_failed += failed
+        if self._cycle_index % self._record_every == 0:
+            return self._flush_record()
+        return None
 
     # ------------------------------------------------------------------
     # Internals
@@ -444,13 +402,20 @@ class CycleSimulator(RecordingScheduleMixin):
             variance = 0.0
             minimum = math.nan
             maximum = math.nan
-        return self._emit_record(
+        record = CycleRecord(
+            cycle=self._cycle_index,
             participant_count=len(self._participants),
             mean=mean,
             variance=variance,
             minimum=minimum,
             maximum=maximum,
+            completed_exchanges=self._pending_completed,
+            failed_exchanges=self._pending_failed,
         )
+        self._pending_completed = 0
+        self._pending_failed = 0
+        self._trace.add(record)
+        return record
 
     @staticmethod
     def _normalise_initial_values(

@@ -1,15 +1,16 @@
-"""Replica-batched tensor engine: R repetitions as one stacked simulation.
+"""The fast cycle engine: R repetitions as one stacked simulation.
 
 Every figure of the paper is a sweep of repeats × parameter points —
-e.g. 50 independent runs per plotted value.  After the vectorised fast
-path made a *single* run cheap, the experiment layer still launched each
-repetition as its own engine instance, serially.  This module batches
-the replication axis itself: a :class:`ReplicatedCycleSimulator` holds
-``R`` independent repetitions in one stacked state tensor (block layout
-``(R * stride, width)``, replica ``r``'s node ``u`` at row
-``r * stride + u``) and executes the heavy per-cycle passes — conflict
-scheduling, gather/merge/scatter rounds, transport filtering, metric
-extraction — once across the whole block.
+e.g. 50 independent runs per plotted value.  A
+:class:`ReplicatedCycleSimulator` holds ``R`` independent repetitions in
+one stacked state tensor (block layout ``(R * stride, width)``, replica
+``r``'s node ``u`` at row ``r * stride + u``) and executes the heavy
+per-cycle passes — conflict scheduling, gather/merge/scatter rounds,
+transport filtering, metric extraction — once across the whole block.
+It is the only array-native cycle engine: a single run is the ``R = 1``
+case, which :class:`~repro.simulator.vectorized.VectorizedCycleSimulator`
+wraps in the serial simulator API.  Each replica is seen through a
+:class:`~repro.simulator.vectorized.ReplicaView`.
 
 Bit-identity contract
 ---------------------
@@ -27,8 +28,8 @@ one :func:`~repro.simulator.sampling.ordered_conflict_rounds` pass
 the per-replica rounds), and merged with the shared
 :func:`~repro.simulator.vectorized.apply_merge_rounds` kernel, whose
 arithmetic is elementwise per exchange.  Every replica's trace and
-final states are therefore **bit-identical** to what the serial fast
-path produces for the same root seed — asserted run-for-run by the
+final states are therefore **bit-identical** to what a one-replica
+engine produces for the same root seed — asserted run-for-run by the
 equivalence suite.
 
 Use :func:`~repro.experiments.runner.repeat_traces` with a
@@ -39,13 +40,13 @@ configuration is not fast-path eligible.
 
 from __future__ import annotations
 
-import math
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..common.errors import ConfigurationError, SimulationError
+from ..common.errors import ConfigurationError
 from ..common.rng import RandomSource
 from ..core.functions import AggregationFunction
 from ..topology.base import OverlayProvider
@@ -54,7 +55,7 @@ from .failures import FailureModel, NoFailures
 from .metrics import CycleRecord, SimulationTrace, estimate_statistics
 from .sampling import draw_cycle_plan, stack_cycle_plans
 from .transport import PERFECT_TRANSPORT, TransportModel, apply_reachability
-from .vectorized import apply_merge_rounds, effective_exchange_filter
+from .vectorized import ReplicaView, apply_merge_rounds, effective_exchange_filter
 
 __all__ = ["ReplicaConfig", "ReplicatedCycleSimulator", "ReplicaView"]
 
@@ -129,10 +130,10 @@ class ReplicatedCycleSimulator:
     Parameters
     ----------
     replicas:
-        One :class:`ReplicaConfig` per repetition.  Every overlay must
-        support batched peer selection and the function must implement
-        the array codec (the same eligibility rule as the serial fast
-        path).
+        One :class:`ReplicaConfig` per repetition.  Overlays with
+        ``select_peers_batch`` draw each cycle's peers in one call;
+        others fall back to per-node ``select_peer`` draws from the same
+        stream (see :func:`~repro.simulator.sampling.draw_cycle_plan`).
     function:
         The aggregation function shared by all repetitions (aggregation
         functions are stateless; per-replica state lives in the tensor).
@@ -162,7 +163,7 @@ class ReplicatedCycleSimulator:
         if not function.supports_vectorized():
             raise ConfigurationError(
                 f"{type(function).__name__} does not implement the array codec; "
-                "use the serial repeat path instead"
+                "use the reference CycleSimulator instead"
             )
         if record_every < 1:
             raise ConfigurationError("record_every must be at least 1")
@@ -177,11 +178,6 @@ class ReplicatedCycleSimulator:
         node_sets = []
         stride = 1
         for config in replicas:
-            if not hasattr(config.overlay, "select_peers_batch"):
-                raise ConfigurationError(
-                    f"overlay {type(config.overlay).__name__} has no batched peer "
-                    "selection; the replicated engine cannot drive it"
-                )
             node_ids = config.overlay.node_ids()
             node_sets.append(node_ids)
             if node_ids:
@@ -230,10 +226,13 @@ class ReplicatedCycleSimulator:
             self._participant_mask[rows] = True
 
         self._cycle_index = 0
-        self._views = [ReplicaView(self, index) for index in range(self._count)]
+        # Weak references only: a view holds its engine, so strong ones
+        # would form a cycle that keeps a retired engine's tensors alive
+        # until the cyclic collector runs.
+        self._views: List[Optional[weakref.ref]] = [None] * self._count
         self._last_eff_initiators = np.empty(0, dtype=np.int64)
         self._last_eff_peers = np.empty(0, dtype=np.int64)
-        self._last_eff_bounds = np.zeros(self._count + 1, dtype=np.int64)
+        self._last_eff_bounds = [0] * (self._count + 1)
         self._flush_records()
 
     # ------------------------------------------------------------------
@@ -259,13 +258,16 @@ class ReplicatedCycleSimulator:
         """Block rows reserved per replica."""
         return self._stride
 
-    def views(self) -> List["ReplicaView"]:
+    def views(self) -> List[ReplicaView]:
         """Per-replica facades mirroring the serial simulator API."""
-        return list(self._views)
+        return [self.view(index) for index in range(self._count)]
 
-    def view(self, replica: int) -> "ReplicaView":
-        """The facade of one replica."""
-        return self._views[replica]
+    def view(self, replica: int) -> ReplicaView:
+        """The facade of one replica (the live one, if any, else a new one)."""
+        index = range(self._count)[replica]
+        ref = self._views[index]
+        view = None if ref is None else ref()
+        return ReplicaView(self, index) if view is None else view
 
     def traces(self) -> List[SimulationTrace]:
         """Per-replica traces, in replica order."""
@@ -291,19 +293,22 @@ class ReplicatedCycleSimulator:
     def run_cycle(self) -> None:
         """Execute one full cycle for every replica in stacked form."""
         self._cycle_index += 1
-        for view, replica in zip(self._views, self._replicas):
-            replica.failure_model.apply(view, self._cycle_index, replica.failure_rng)
+        for index, replica in enumerate(self._replicas):
+            replica.failure_model.apply(
+                self.view(index), self._cycle_index, replica.failure_rng
+            )
 
         # Per-replica randomness, exactly as the serial engines draw it.
+        participants = [self._participants_local(index) for index in range(self._count)]
         plans = [
             draw_cycle_plan(
                 replica.overlay,
-                self._participants_local(index),
+                local,
                 replica.selection_rng,
                 self._transport,
                 replica.transport_rng,
             )
-            for index, replica in enumerate(self._replicas)
+            for replica, local in zip(self._replicas, participants)
         ]
         # Correlated connectivity blocks apply to each replica's plan in
         # *local* node ids (the model's view), before block offsets shift
@@ -317,10 +322,11 @@ class ReplicatedCycleSimulator:
                 plan.outcomes,
                 self._cycle_index,
             )
-        offsets = [index * self._stride for index in range(self._count)]
-        stacked = stack_cycle_plans(plans, offsets)
+        stacked = stack_cycle_plans(
+            plans, range(0, self._count * self._stride, self._stride)
+        )
 
-        participants_total = int(np.count_nonzero(self._participant_mask))
+        participants_total = sum(local.size for local in participants)
         eff_initiators, eff_peers, eff_completed, effective_index = (
             effective_exchange_filter(
                 stacked.initiators,
@@ -343,17 +349,18 @@ class ReplicatedCycleSimulator:
         # Split the stacked exchange ledger back into per-replica counts:
         # effective slots are ascending, so each replica owns a contiguous
         # range found with one searchsorted over the slot boundaries.
+        slot_bounds = stacked.bounds.tolist()
         if effective_index is None:
-            eff_bounds = stacked.bounds
+            eff_bounds = slot_bounds
         else:
-            eff_bounds = np.searchsorted(effective_index, stacked.bounds)
+            eff_bounds = np.searchsorted(effective_index, stacked.bounds).tolist()
         for index, replica in enumerate(self._replicas):
-            low, high = int(eff_bounds[index]), int(eff_bounds[index + 1])
+            low, high = eff_bounds[index], eff_bounds[index + 1]
             if eff_completed is None:
                 completed = high - low
             else:
                 completed = int(np.count_nonzero(eff_completed[low:high]))
-            slots = int(stacked.bounds[index + 1] - stacked.bounds[index])
+            slots = slot_bounds[index + 1] - slot_bounds[index]
             replica.pending_completed += completed
             replica.pending_failed += slots - completed
 
@@ -393,11 +400,23 @@ class ReplicatedCycleSimulator:
             )
         return replica.participants_cache
 
+    def _register_view(self, view: ReplicaView) -> None:
+        """Make ``view`` the facade handed to its replica's failure model."""
+        self._views[view.replica_index] = weakref.ref(view)
+
     def _flush_records(self) -> None:
+        stride = self._stride
         for index, replica in enumerate(self._replicas):
             participants = self._participants_local(index)
             if participants.size:
-                block = self._states[index * self._stride + participants]
+                base = index * stride
+                # A fully populated replica is one contiguous row slice:
+                # read it in place instead of gathering every row.
+                block = (
+                    self._states[base : base + stride]
+                    if participants.size == stride
+                    else self._states[base + participants]
+                )
                 estimates = self._function.estimate_array(block)
             else:
                 estimates = np.empty(0, dtype=np.float64)
@@ -467,241 +486,3 @@ class ReplicatedCycleSimulator:
             f"stride={self._stride}, function={self._function.name}, "
             f"cycle={self._cycle_index})"
         )
-
-
-class ReplicaView:
-    """One replica of the stacked engine, wearing the serial simulator API.
-
-    Failure models, experiment plumbing and post-processing helpers
-    (`trace`, `estimates()`, `states()`, membership operations...) treat
-    a view exactly like a :class:`VectorizedCycleSimulator` for that
-    repetition — which is what lets stateful failure models drive each
-    replica through the identical public surface, and what lets figure
-    code collect per-replica results without knowing about the block.
-    """
-
-    def __init__(self, engine: ReplicatedCycleSimulator, index: int) -> None:
-        self._engine = engine
-        self._index = index
-
-    # -- identification ------------------------------------------------
-    @property
-    def replica_index(self) -> int:
-        """Position of this replica in the stacked engine."""
-        return self._index
-
-    @property
-    def overlay(self) -> OverlayProvider:
-        """The replica's own overlay."""
-        return self._engine._replicas[self._index].overlay
-
-    @property
-    def function(self) -> AggregationFunction:
-        """The aggregation function in use."""
-        return self._engine._function
-
-    @property
-    def trace(self) -> SimulationTrace:
-        """The replica's per-cycle measurement trace."""
-        return self._engine._replicas[self._index].trace
-
-    @property
-    def cycle_index(self) -> int:
-        """Number of cycles executed so far."""
-        return self._engine._cycle_index
-
-    # -- internals shared by the accessors -----------------------------
-    @property
-    def _replica(self) -> _Replica:
-        return self._engine._replicas[self._index]
-
-    @property
-    def _base(self) -> int:
-        return self._index * self._engine._stride
-
-    def _participants(self) -> np.ndarray:
-        return self._engine._participants_local(self._index)
-
-    def _invalidate(self) -> None:
-        self._engine._replicas[self._index].participants_cache = None
-
-    # -- state accessors ------------------------------------------------
-    def participant_ids(self) -> List[int]:
-        """Identifiers of the nodes participating in the current epoch."""
-        return [int(node) for node in self._participants()]
-
-    def non_participant_ids(self) -> List[int]:
-        """Identifiers of joined nodes waiting for the next epoch."""
-        engine = self._engine
-        base = self._base
-        return [
-            int(node)
-            for node in np.flatnonzero(
-                engine._non_participant_mask[base : base + engine._stride]
-            )
-        ]
-
-    def crashed_ids(self) -> List[int]:
-        """Identifiers of nodes that crashed during this run."""
-        return sorted(self._replica.crashed)
-
-    def state_of(self, node_id: int) -> Any:
-        """The protocol state currently held by ``node_id``."""
-        if not self._is_participant(node_id):
-            raise SimulationError(f"node {node_id} is not participating")
-        return self._engine._function.decode_state(
-            self._engine._states[self._base + node_id]
-        )
-
-    def states(self) -> Dict[int, Any]:
-        """Mapping from participant id to (decoded) protocol state."""
-        decode = self._engine._function.decode_state
-        base = self._base
-        return {
-            int(node): decode(self._engine._states[base + node])
-            for node in self._participants()
-        }
-
-    def state_array(self) -> np.ndarray:
-        """The raw ``(participants, width)`` state block, in id order."""
-        return self._engine._states[self._base + self._participants()].copy()
-
-    def estimates(self) -> Dict[int, Optional[float]]:
-        """Current aggregate estimate at every participating node."""
-        participants = self._participants()
-        if participants.size == 0:
-            return {}
-        values = self._engine._function.estimate_array(
-            self._engine._states[self._base + participants]
-        )
-        return {
-            int(node): (None if math.isnan(value) else float(value))
-            for node, value in zip(participants, values)
-        }
-
-    def finite_estimates(self) -> List[float]:
-        """All current estimates that are actual finite numbers."""
-        participants = self._participants()
-        if participants.size == 0:
-            return []
-        values = self._engine._function.estimate_array(
-            self._engine._states[self._base + participants]
-        )
-        return values[np.isfinite(values)].tolist()
-
-    @property
-    def last_cycle_contact_counts(self) -> Dict[int, int]:
-        """Per-node exchange participation counts of the last cycle."""
-        engine = self._engine
-        low = int(engine._last_eff_bounds[self._index])
-        high = int(engine._last_eff_bounds[self._index + 1])
-        base = self._base
-        touched = np.concatenate(
-            [
-                engine._last_eff_initiators[low:high] - base,
-                engine._last_eff_peers[low:high] - base,
-            ]
-        )
-        counts = np.bincount(touched, minlength=engine._stride)
-        return {int(node): int(counts[node]) for node in self._participants()}
-
-    # -- membership operations ------------------------------------------
-    def crash_node(self, node_id: int) -> None:
-        """Remove a node: its state becomes permanently inaccessible."""
-        replica = self._replica
-        if node_id in replica.crashed:
-            return
-        engine = self._engine
-        if 0 <= node_id < engine._stride:
-            row = self._base + node_id
-            engine._participant_mask[row] = False
-            engine._non_participant_mask[row] = False
-            self._invalidate()
-        replica.crashed.add(node_id)
-        replica.overlay.on_node_removed(node_id)
-
-    def add_node(self, value: Any = 0.0, participating: bool = False) -> int:
-        """Add a brand-new node to this replica's overlay."""
-        replica = self._replica
-        engine = self._engine
-        node_id = replica.next_node_id
-        replica.next_node_id += 1
-        engine._ensure_stride(node_id)
-        replica.overlay.on_node_added(node_id, replica.membership_rng)
-        row = self._base + node_id
-        if participating:
-            engine._states[row] = engine._encode_value(value)
-            engine._participant_mask[row] = True
-            self._invalidate()
-        else:
-            engine._non_participant_mask[row] = True
-        return node_id
-
-    def promote_non_participants(
-        self, values: Optional[Mapping[int, Any]] = None
-    ) -> List[int]:
-        """Let all waiting nodes join the protocol (an epoch restart)."""
-        engine = self._engine
-        base = self._base
-        promoted = np.flatnonzero(
-            engine._non_participant_mask[base : base + engine._stride]
-        )
-        for node in promoted:
-            node_id = int(node)
-            value = 0.0 if values is None else values.get(node_id, 0.0)
-            engine._states[base + node_id] = engine._encode_value(value)
-        engine._participant_mask[base + promoted] = True
-        engine._non_participant_mask[base + promoted] = False
-        if promoted.size:
-            self._invalidate()
-        return [int(node) for node in promoted]
-
-    def restart_epoch(self, values: Mapping[int, Any]) -> None:
-        """Re-initialise every participant's state from fresh local values."""
-        self.promote_non_participants()
-        engine = self._engine
-        participants = self._participants()
-        fresh = []
-        for node in participants:
-            node_id = int(node)
-            if node_id not in values:
-                raise ConfigurationError(f"missing restart value for node {node_id}")
-            fresh.append(values[node_id])
-        if participants.size:
-            engine._states[self._base + participants] = (
-                engine._function.initial_state_array(
-                    np.asarray(fresh, dtype=np.float64)
-                )
-            )
-
-    def override_values(self, node_ids: Sequence[int], values: Any) -> None:
-        """Forcibly re-assert local values on ``node_ids`` (one scatter).
-
-        The batched hook byzantine reporter models use to inject forged
-        values; semantics match the serial engines' ``override_values``.
-        """
-        engine = self._engine
-        ids = np.asarray(list(node_ids), dtype=np.int64)
-        if ids.size == 0:
-            return
-        for node in ids:
-            if not self._is_participant(int(node)):
-                raise SimulationError(f"node {int(node)} is not participating")
-        encoded = engine._function.initial_state_array(
-            np.asarray(values, dtype=np.float64)
-        )
-        if encoded.shape[0] != ids.size:
-            raise ConfigurationError(
-                f"override_values got {ids.size} nodes but "
-                f"{encoded.shape[0]} value rows"
-            )
-        engine._states[self._base + ids] = encoded
-
-    def _is_participant(self, node_id: int) -> bool:
-        engine = self._engine
-        return 0 <= node_id < engine._stride and bool(
-            engine._participant_mask[self._base + node_id]
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ReplicaView(replica={self._index}, engine={self._engine!r})"

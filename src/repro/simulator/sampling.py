@@ -1,4 +1,4 @@
-"""Batched per-cycle randomness shared by both cycle engines.
+"""Batched per-cycle randomness shared by the reference and fast cycle engines.
 
 A cycle of the push–pull protocol consumes three kinds of randomness: the
 order in which participants initiate, the peer each initiator gossips
@@ -7,14 +7,17 @@ three as *batched* generator calls and packages them in a
 :class:`CyclePlan`.
 
 Both the reference :class:`~repro.simulator.cycle_sim.CycleSimulator` and
-the fast-path :class:`~repro.simulator.vectorized.VectorizedCycleSimulator`
-consume their randomness exclusively through :func:`draw_cycle_plan`, so
-the two engines see bit-identical exchange schedules from the same root
-seed — which is what makes the fast path an exact drop-in, not merely a
-statistically equivalent one.
+the fast-path :class:`~repro.simulator.replicated.ReplicatedCycleSimulator`
+(one replica of which is a
+:class:`~repro.simulator.vectorized.VectorizedCycleSimulator`) consume
+their randomness exclusively through :func:`draw_cycle_plan`, so the two
+engines see bit-identical exchange schedules from the same root seed —
+which is what makes the fast path an exact drop-in, not merely a
+statistically equivalent one.  :func:`stack_cycle_plans` fuses the
+replicas' plans into one block schedule.
 
 The module also provides :func:`ordered_conflict_rounds`, the scheduling
-core of the vectorised engine: it partitions a cycle's in-order exchange
+core of the fast engine: it partitions a cycle's in-order exchange
 list into conflict-free batches that can each be applied with one gather /
 merge / scatter pass while preserving the sequential read-after-write
 semantics of the reference engine.
@@ -23,6 +26,7 @@ semantics of the reference engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -168,24 +172,31 @@ def stack_cycle_plans(
         randomness bit-identical to a serial run of the same seed).
     offsets:
         Block-row offset of each replica (``r * stride``).
+
+    The stacked arrays may share memory with the plans' arrays: a lone
+    plan at offset 0 already is its own stacked schedule and is not
+    copied.  Treat the result as read-only.
     """
-    counts = [plan.initiators.size for plan in plans]
-    bounds = np.zeros(len(plans) + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    total = int(bounds[-1])
+    starts = list(accumulate((plan.initiators.size for plan in plans), initial=0))
+    bounds = np.asarray(starts, dtype=np.int64)
+    if len(plans) == 1 and not offsets[0]:
+        plan = plans[0]
+        return StackedCyclePlan(plan.initiators, plan.peers, plan.outcomes, bounds)
+    total = starts[-1]
     initiators = np.empty(total, dtype=np.int64)
     peers = np.empty(total, dtype=np.int64)
     outcomes = np.empty(total, dtype=np.uint8)
     for replica, plan in enumerate(plans):
-        low, high = int(bounds[replica]), int(bounds[replica + 1])
+        low, high = starts[replica], starts[replica + 1]
         offset = int(offsets[replica])
         initiators[low:high] = plan.initiators
-        initiators[low:high] += offset
-        np.copyto(peers[low:high], plan.peers)
-        # Shift only the usable peers into block space; -1 stays -1.
-        shifted = peers[low:high]
-        shifted[shifted >= 0] += offset
+        peers[low:high] = plan.peers
         outcomes[low:high] = plan.outcomes
+        if offset:
+            initiators[low:high] += offset
+            # Shift only the usable peers into block space; -1 stays -1.
+            shifted = peers[low:high]
+            shifted[shifted >= 0] += offset
     return StackedCyclePlan(
         initiators=initiators, peers=peers, outcomes=outcomes, bounds=bounds
     )

@@ -1,39 +1,40 @@
-"""Vectorised fast-path cycle engine.
+"""The fast-path kernels and the single-run view of the array engine.
 
-A struct-of-arrays drop-in for :class:`~repro.simulator.cycle_sim.CycleSimulator`
-restricted to aggregation functions that implement the array codec of
-:class:`~repro.core.functions.AggregationFunction` (AVERAGE, MIN/MAX,
-geometric mean, push-sum, and vectors thereof — which covers COUNT via the
-peak distribution, SUM, PRODUCT and VARIANCE).  Node states live in one
-``(capacity, state_width)`` float64 array indexed by node id; each cycle
+There is one array-native cycle engine,
+:class:`~repro.simulator.replicated.ReplicatedCycleSimulator`, which runs
+``R`` repetitions as one stacked state tensor.  This module holds what
+that engine is built from and how a single run is seen through it:
 
-1. applies the failure model exactly as the reference engine does (the
-   public membership API is identical, so every failure model works
-   unchanged),
-2. draws the cycle's shuffle order, peer choices and transport outcomes as
-   *batched* generator calls through the shared
-   :func:`~repro.simulator.sampling.draw_cycle_plan`,
-3. applies the push–pull merges with array arithmetic, using
-   :func:`~repro.simulator.sampling.ordered_conflict_rounds` to resolve
-   the sequential dependency chain (a node's state may be read by a later
-   exchange in the same cycle) as a short series of conflict-free
-   gather/merge/scatter passes, and
-4. records the per-cycle mean/variance/min/max with one vectorised pass
-   over the estimate array.
+* the shared per-cycle kernels — :func:`effective_exchange_filter`
+  (which exchanges touch state), :func:`apply_merge_rounds` (the
+  push–pull merges as conflict-free gather/merge/scatter passes, built on
+  :func:`~repro.simulator.sampling.ordered_conflict_rounds`), and the
+  re-exported :func:`~repro.simulator.sampling.draw_cycle_plan` and
+  :func:`~repro.simulator.metrics.estimate_statistics`;
+* :class:`ReplicaView`, the one definition of the membership and
+  inspection API (``participant_ids``, ``crash_node``, ``states``,
+  ``estimates`` …) for one replica of the stacked engine; and
+* :class:`VectorizedCycleSimulator`, a drop-in for
+  :class:`~repro.simulator.cycle_sim.CycleSimulator` restricted to
+  aggregation functions that implement the array codec of
+  :class:`~repro.core.functions.AggregationFunction` (AVERAGE, MIN/MAX,
+  geometric mean, push-sum, and vectors thereof — which covers COUNT via
+  the peak distribution, SUM, PRODUCT and VARIANCE).  It is the
+  single-replica engine seen through its :class:`ReplicaView`.
 
-Because both engines consume randomness through the same cycle-plan
+Because every engine consumes randomness through the same cycle-plan
 discipline and the array merges use bit-identical float64 expressions, a
 run from a given root seed produces the *same exchange schedule and the
 same node states* as the reference engine — traces agree to within
 floating-point summation order.  Use
 :func:`~repro.simulator.make_simulator` to pick the fast path
-automatically when the function and overlay support it.
+automatically when the function supports it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -41,8 +42,8 @@ from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
 from ..core.functions import AggregationFunction
 from ..topology.base import OverlayProvider
-from .cycle_sim import CycleSimulator, InitialValues, RecordingScheduleMixin
-from .failures import FailureModel, NoFailures
+from .cycle_sim import InitialValues
+from .failures import FailureModel
 from .metrics import CycleRecord, SimulationTrace, estimate_statistics
 from .sampling import draw_cycle_plan, ordered_conflict_rounds
 from .transport import (
@@ -50,13 +51,19 @@ from .transport import (
     OUTCOME_DROPPED,
     PERFECT_TRANSPORT,
     TransportModel,
-    apply_reachability,
 )
+
+if TYPE_CHECKING:
+    from .replicated import ReplicatedCycleSimulator, _Replica
 
 __all__ = [
     "VectorizedCycleSimulator",
+    "ReplicaView",
     "effective_exchange_filter",
     "apply_merge_rounds",
+    "draw_cycle_plan",
+    "ordered_conflict_rounds",
+    "estimate_statistics",
 ]
 
 
@@ -152,14 +159,266 @@ def apply_merge_rounds(
         states[batch_peers] = new_responder
 
 
-class VectorizedCycleSimulator(RecordingScheduleMixin):
+class ReplicaView:
+    """One replica of the stacked engine, wearing the serial simulator API.
+
+    Failure models, experiment plumbing and post-processing helpers
+    (``trace``, ``estimates()``, ``states()``, membership operations...)
+    treat a view exactly like a serial engine for that repetition — which
+    is what lets stateful failure models drive each replica through the
+    identical public surface, and what lets figure code collect
+    per-replica results without knowing about the block.  A view holds
+    its engine; the engine keeps only weak references to its views.
+    """
+
+    def __init__(self, engine: "ReplicatedCycleSimulator", index: int) -> None:
+        self._engine = engine
+        self._index = index
+        engine._register_view(self)
+
+    # -- identification ------------------------------------------------
+    @property
+    def replica_index(self) -> int:
+        """Position of this replica in the stacked engine."""
+        return self._index
+
+    @property
+    def overlay(self) -> OverlayProvider:
+        """The replica's own overlay."""
+        return self._replica.overlay
+
+    @property
+    def function(self) -> AggregationFunction:
+        """The aggregation function in use."""
+        return self._engine._function
+
+    @property
+    def trace(self) -> SimulationTrace:
+        """The replica's per-cycle measurement trace."""
+        return self._replica.trace
+
+    @property
+    def cycle_index(self) -> int:
+        """Number of cycles executed so far."""
+        return self._engine._cycle_index
+
+    # -- internals shared by the accessors -----------------------------
+    @property
+    def _replica(self) -> "_Replica":
+        return self._engine._replicas[self._index]
+
+    @property
+    def _base(self) -> int:
+        return self._index * self._engine._stride
+
+    def _participants(self) -> np.ndarray:
+        return self._engine._participants_local(self._index)
+
+    def _is_participant(self, node_id: int) -> bool:
+        engine = self._engine
+        return 0 <= node_id < engine._stride and bool(
+            engine._participant_mask[self._base + node_id]
+        )
+
+    # -- state accessors ------------------------------------------------
+    def participant_ids(self) -> List[int]:
+        """Identifiers of the nodes participating in the current epoch (sorted)."""
+        return [int(node) for node in self._participants()]
+
+    def non_participant_ids(self) -> List[int]:
+        """Identifiers of joined nodes waiting for the next epoch."""
+        engine = self._engine
+        base = self._base
+        return [
+            int(node)
+            for node in np.flatnonzero(
+                engine._non_participant_mask[base : base + engine._stride]
+            )
+        ]
+
+    def crashed_ids(self) -> List[int]:
+        """Identifiers of nodes that crashed during this run."""
+        return sorted(self._replica.crashed)
+
+    def state_of(self, node_id: int) -> Any:
+        """The protocol state currently held by ``node_id``."""
+        if not self._is_participant(node_id):
+            raise SimulationError(f"node {node_id} is not participating")
+        return self._engine._function.decode_state(
+            self._engine._states[self._base + node_id]
+        )
+
+    def states(self) -> Dict[int, Any]:
+        """Mapping from participant id to (decoded) protocol state."""
+        decode = self._engine._function.decode_state
+        states = self._engine._states
+        base = self._base
+        return {int(node): decode(states[base + node]) for node in self._participants()}
+
+    def state_array(self) -> np.ndarray:
+        """The raw ``(participants, width)`` state block, in id order."""
+        return self._engine._states[self._base + self._participants()]
+
+    def estimates(self) -> Dict[int, Optional[float]]:
+        """Current aggregate estimate at every participating node."""
+        participants = self._participants()
+        if participants.size == 0:
+            return {}
+        values = self._engine._function.estimate_array(
+            self._engine._states[self._base + participants]
+        )
+        return {
+            int(node): (None if math.isnan(value) else float(value))
+            for node, value in zip(participants, values)
+        }
+
+    def finite_estimates(self) -> List[float]:
+        """All current estimates that are actual finite numbers."""
+        participants = self._participants()
+        if participants.size == 0:
+            return []
+        values = self._engine._function.estimate_array(
+            self._engine._states[self._base + participants]
+        )
+        return values[np.isfinite(values)].tolist()
+
+    @property
+    def last_cycle_contact_counts(self) -> Dict[int, int]:
+        """Per-node exchange participation counts of the last cycle.
+
+        Materialised lazily from the last cycle's exchange endpoints; the
+        reference engine keeps an identical dict-shaped ledger.
+        """
+        engine = self._engine
+        low = engine._last_eff_bounds[self._index]
+        high = engine._last_eff_bounds[self._index + 1]
+        base = self._base
+        touched = np.concatenate(
+            [
+                engine._last_eff_initiators[low:high] - base,
+                engine._last_eff_peers[low:high] - base,
+            ]
+        )
+        counts = np.bincount(touched, minlength=engine._stride)
+        return {int(node): int(counts[node]) for node in self._participants()}
+
+    # -- membership operations ------------------------------------------
+    def crash_node(self, node_id: int) -> None:
+        """Remove a node: its state becomes permanently inaccessible."""
+        replica = self._replica
+        if node_id in replica.crashed:
+            return
+        engine = self._engine
+        if 0 <= node_id < engine._stride:
+            row = self._base + node_id
+            engine._participant_mask[row] = False
+            engine._non_participant_mask[row] = False
+            replica.participants_cache = None
+        replica.crashed.add(node_id)
+        replica.overlay.on_node_removed(node_id)
+
+    def add_node(self, value: Any = 0.0, participating: bool = False) -> int:
+        """Add a brand-new node to this replica's overlay and return its id."""
+        replica = self._replica
+        engine = self._engine
+        node_id = replica.next_node_id
+        replica.next_node_id += 1
+        engine._ensure_stride(node_id)
+        replica.overlay.on_node_added(node_id, replica.membership_rng)
+        row = self._base + node_id
+        if participating:
+            engine._states[row] = engine._encode_value(value)
+            engine._participant_mask[row] = True
+            replica.participants_cache = None
+        else:
+            engine._non_participant_mask[row] = True
+        return node_id
+
+    def promote_non_participants(
+        self, values: Optional[Mapping[int, Any]] = None
+    ) -> List[int]:
+        """Let all waiting nodes join the protocol (an epoch restart)."""
+        engine = self._engine
+        base = self._base
+        promoted = np.flatnonzero(
+            engine._non_participant_mask[base : base + engine._stride]
+        )
+        for node in promoted:
+            node_id = int(node)
+            value = 0.0 if values is None else values.get(node_id, 0.0)
+            engine._states[base + node_id] = engine._encode_value(value)
+        engine._participant_mask[base + promoted] = True
+        engine._non_participant_mask[base + promoted] = False
+        if promoted.size:
+            self._replica.participants_cache = None
+        return [int(node) for node in promoted]
+
+    def restart_epoch(self, values: Mapping[int, Any]) -> None:
+        """Re-initialise every participant's state from fresh local values."""
+        self.promote_non_participants()
+        engine = self._engine
+        participants = self._participants()
+        fresh = []
+        for node in participants:
+            node_id = int(node)
+            if node_id not in values:
+                raise ConfigurationError(f"missing restart value for node {node_id}")
+            fresh.append(values[node_id])
+        if participants.size:
+            engine._states[self._base + participants] = (
+                engine._function.initial_state_array(
+                    np.asarray(fresh, dtype=np.float64)
+                )
+            )
+
+    def override_values(self, node_ids: Sequence[int], values: Any) -> None:
+        """Re-assert local values at selected participants, mid-epoch.
+
+        The batched form of
+        :meth:`~repro.simulator.cycle_sim.CycleSimulator.override_values`
+        (the hook byzantine reporter models use to inject forged values):
+        one membership check, one ``initial_state_array`` encode and one
+        scatter.  The codec contract (array encoding bit-identical to the
+        scalar ``initial_state``) keeps the engines in lockstep.
+        """
+        engine = self._engine
+        ids = np.asarray(node_ids, dtype=np.int64)
+        if ids.size == 0:
+            return
+        base = self._base
+        if (
+            int(ids.min()) < 0
+            or int(ids.max()) >= engine._stride
+            or not bool(np.all(engine._participant_mask[base + ids]))
+        ):
+            bad = next(
+                int(node) for node in ids if not self._is_participant(int(node))
+            )
+            raise SimulationError(f"node {bad} is not participating")
+        encoded = engine._function.initial_state_array(
+            np.asarray(values, dtype=np.float64)
+        )
+        if encoded.shape[0] != ids.size:
+            raise ConfigurationError(
+                f"override_values got {ids.size} nodes but "
+                f"{encoded.shape[0]} value rows"
+            )
+        engine._states[base + ids] = encoded
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"ReplicaView(replica={self._index}, engine={self._engine!r})"
+
+
+class VectorizedCycleSimulator(ReplicaView):
     """Array-native cycle engine for codec-capable aggregation functions.
 
     Accepts the same constructor arguments as
     :class:`~repro.simulator.cycle_sim.CycleSimulator` and exposes the same
     public API (trace, membership operations, state accessors), so failure
     models, experiment plumbing and tests can treat the two engines
-    interchangeably.
+    interchangeably.  It is a one-replica
+    :class:`~repro.simulator.replicated.ReplicatedCycleSimulator` seen
+    through its :class:`ReplicaView`.
 
     Raises
     ------
@@ -178,334 +437,45 @@ class VectorizedCycleSimulator(RecordingScheduleMixin):
         record_every: int = 1,
         reachability=None,
     ) -> None:
-        if not function.supports_vectorized():
-            raise ConfigurationError(
-                f"{type(function).__name__} does not implement the array codec; "
-                "use CycleSimulator (or make_simulator) instead"
-            )
-        self._init_recording(record_every)
-        self._overlay = overlay
-        self._function = function
-        self._transport = transport
-        self._failure_model = failure_model or NoFailures()
-        self._reachability = reachability
-        set_reachability = getattr(overlay, "set_reachability", None)
-        if reachability is not None and set_reachability is not None:
-            set_reachability(reachability)
+        # Deferred import: the stacked engine module imports this one.
+        from .replicated import ReplicaConfig, ReplicatedCycleSimulator
 
-        self._selection_rng = rng.child("selection")
-        self._transport_rng = rng.child("transport")
-        self._failure_rng = rng.child("failures")
-        self._overlay_rng = rng.child("overlay")
-        self._membership_rng = rng.child("membership")
-
-        node_ids = overlay.node_ids()
-        values = CycleSimulator._normalise_initial_values(initial_values, node_ids)
-        self._width = function.state_width()
-        self._next_node_id = max(node_ids) + 1 if node_ids else 0
-        self._capacity = max(self._next_node_id, 1)
-        self._states = np.zeros((self._capacity, self._width), dtype=np.float64)
-        self._participant_mask = np.zeros(self._capacity, dtype=bool)
-        self._non_participant_mask = np.zeros(self._capacity, dtype=bool)
-        self._scratch = np.empty(self._capacity, dtype=np.int64)
-        self._crashed: set[int] = set()
-
-        if node_ids:
-            ordered = np.asarray(sorted(node_ids), dtype=np.int64)
-            ordered_values = [values[int(node)] for node in ordered]
-            self._states[ordered] = function.initial_state_array(
-                np.asarray(ordered_values, dtype=np.float64)
-            )
-            self._participant_mask[ordered] = True
-
-        self._cycle_index = 0
-        self._trace = SimulationTrace()
-        self._participants_cache: Optional[np.ndarray] = None
-        self._last_contact_participants = np.empty(0, dtype=np.int64)
-        self._last_eff_initiators = np.empty(0, dtype=np.int64)
-        self._last_eff_peers = np.empty(0, dtype=np.int64)
-        self._flush_record()
-
-    # ------------------------------------------------------------------
-    # Public accessors (mirrors CycleSimulator)
-    # ------------------------------------------------------------------
-    @property
-    def overlay(self) -> OverlayProvider:
-        """The overlay network driving peer selection."""
-        return self._overlay
-
-    @property
-    def function(self) -> AggregationFunction:
-        """The aggregation function in use."""
-        return self._function
-
-    @property
-    def trace(self) -> SimulationTrace:
-        """The per-cycle measurement trace collected so far."""
-        return self._trace
-
-    @property
-    def cycle_index(self) -> int:
-        """Number of cycles executed so far."""
-        return self._cycle_index
-
-    @property
-    def last_cycle_contact_counts(self) -> Dict[int, int]:
-        """Per-node exchange participation counts of the last cycle.
-
-        Materialised lazily from the last cycle's exchange endpoints; the
-        reference engine keeps an identical dict-shaped ledger.
-        """
-        touched = np.concatenate([self._last_eff_initiators, self._last_eff_peers])
-        counts = np.bincount(touched, minlength=self._capacity)
-        return {int(node): int(counts[node]) for node in self._last_contact_participants}
-
-    def participant_ids(self) -> List[int]:
-        """Identifiers of the nodes participating in the current epoch (sorted)."""
-        return [int(node) for node in np.flatnonzero(self._participant_mask)]
-
-    def non_participant_ids(self) -> List[int]:
-        """Identifiers of joined nodes waiting for the next epoch."""
-        return [int(node) for node in np.flatnonzero(self._non_participant_mask)]
-
-    def crashed_ids(self) -> List[int]:
-        """Identifiers of nodes that crashed during this run."""
-        return sorted(self._crashed)
-
-    def state_of(self, node_id: int) -> Any:
-        """The protocol state currently held by ``node_id``."""
-        if not self._is_participant(node_id):
-            raise SimulationError(f"node {node_id} is not participating")
-        return self._function.decode_state(self._states[node_id])
-
-    def states(self) -> Dict[int, Any]:
-        """Mapping from participant id to (decoded) protocol state."""
-        decode = self._function.decode_state
-        return {
-            int(node): decode(self._states[node])
-            for node in np.flatnonzero(self._participant_mask)
-        }
-
-    def state_array(self) -> np.ndarray:
-        """The raw ``(participants, state_width)`` state block, in id order."""
-        return self._states[self._participant_mask].copy()
-
-    def estimates(self) -> Dict[int, Optional[float]]:
-        """Current aggregate estimate at every participating node."""
-        participants = np.flatnonzero(self._participant_mask)
-        if participants.size == 0:
-            return {}
-        values = self._function.estimate_array(self._states[participants])
-        return {
-            int(node): (None if math.isnan(value) else float(value))
-            for node, value in zip(participants, values)
-        }
-
-    def finite_estimates(self) -> List[float]:
-        """All current estimates that are actual finite numbers."""
-        participants = np.flatnonzero(self._participant_mask)
-        if participants.size == 0:
-            return []
-        values = self._function.estimate_array(self._states[participants])
-        return values[np.isfinite(values)].tolist()
-
-    # ------------------------------------------------------------------
-    # Membership operations (used by failure models and by callers)
-    # ------------------------------------------------------------------
-    def crash_node(self, node_id: int) -> None:
-        """Remove a node: its state becomes permanently inaccessible."""
-        if node_id in self._crashed:
-            return
-        if 0 <= node_id < self._capacity:
-            self._participant_mask[node_id] = False
-            self._non_participant_mask[node_id] = False
-            self._participants_cache = None
-        self._crashed.add(node_id)
-        self._overlay.on_node_removed(node_id)
-
-    def add_node(self, value: Any = 0.0, participating: bool = False) -> int:
-        """Add a brand-new node to the overlay and return its identifier."""
-        node_id = self._next_node_id
-        self._next_node_id += 1
-        self._ensure_capacity(node_id)
-        self._overlay.on_node_added(node_id, self._membership_rng)
-        if participating:
-            self._states[node_id] = self._encode_value(value)
-            self._participant_mask[node_id] = True
-            self._participants_cache = None
-        else:
-            self._non_participant_mask[node_id] = True
-        return node_id
-
-    def promote_non_participants(self, values: Optional[Mapping[int, Any]] = None) -> List[int]:
-        """Let all waiting nodes join the protocol (an epoch restart)."""
-        promoted = np.flatnonzero(self._non_participant_mask)
-        for node in promoted:
-            node_id = int(node)
-            value = 0.0 if values is None else values.get(node_id, 0.0)
-            self._states[node_id] = self._encode_value(value)
-        self._participant_mask[promoted] = True
-        self._non_participant_mask[promoted] = False
-        if promoted.size:
-            self._participants_cache = None
-        return [int(node) for node in promoted]
-
-    def restart_epoch(self, values: Mapping[int, Any]) -> None:
-        """Re-initialise every participant's state from fresh local values."""
-        self.promote_non_participants()
-        participants = np.flatnonzero(self._participant_mask)
-        fresh = []
-        for node in participants:
-            node_id = int(node)
-            if node_id not in values:
-                raise ConfigurationError(f"missing restart value for node {node_id}")
-            fresh.append(values[node_id])
-        if participants.size:
-            self._states[participants] = self._function.initial_state_array(
-                np.asarray(fresh, dtype=np.float64)
-            )
-
-    def override_values(self, node_ids: Sequence[int], values: Any) -> None:
-        """Re-assert local values at selected participants, mid-epoch.
-
-        The batched form of
-        :meth:`~repro.simulator.cycle_sim.CycleSimulator.override_values`:
-        one ``initial_state_array`` encode plus one scatter.  The codec
-        contract (array encoding bit-identical to the scalar
-        ``initial_state``) keeps the two engines in lockstep.
-        """
-        ids = np.asarray(node_ids, dtype=np.int64)
-        if ids.size == 0:
-            return
-        if (
-            int(ids.min()) < 0
-            or int(ids.max()) >= self._capacity
-            or not bool(np.all(self._participant_mask[ids]))
-        ):
-            bad = next(
-                int(node) for node in ids if not self._is_participant(int(node))
-            )
-            raise SimulationError(f"node {bad} is not participating")
-        encoded = self._function.initial_state_array(
-            np.asarray(values, dtype=np.float64)
+        engine = ReplicatedCycleSimulator(
+            [ReplicaConfig(overlay, initial_values, rng, failure_model)],
+            function,
+            transport=transport,
+            record_every=record_every,
+            reachability=reachability,
         )
-        if encoded.shape[0] != ids.size:
-            raise ConfigurationError(
-                f"override_values got {ids.size} nodes but "
-                f"{encoded.shape[0]} value rows"
-            )
-        self._states[ids] = encoded
+        super().__init__(engine, 0)
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def run_cycle(self) -> Optional[CycleRecord]:
         """Execute one full cycle and return its measurement record.
 
         Returns ``None`` on cycles skipped by ``record_every``.
         """
-        self._cycle_index += 1
-        self._failure_model.apply(self, self._cycle_index, self._failure_rng)
+        self._engine.run_cycle()
+        final = self.trace.final
+        return final if final.cycle == self._engine.cycle_index else None
 
-        participants = self._participants_array()
-        plan = draw_cycle_plan(
-            self._overlay,
-            participants,
-            self._selection_rng,
-            self._transport,
-            self._transport_rng,
-        )
-        blocked_any = apply_reachability(
-            self._reachability, plan.initiators, plan.peers, plan.outcomes,
-            self._cycle_index,
-        )
-        eff_initiators, eff_peers, eff_completed, _ = effective_exchange_filter(
-            plan.initiators,
-            plan.peers,
-            plan.outcomes,
-            self._participant_mask,
-            all_present=participants.size == self._capacity,
-            # A reachability block turns outcomes to DROPPED even under a
-            # perfect transport, so the filter must consult them.
-            perfect=self._transport.is_perfect() and not blocked_any,
-        )
-        apply_merge_rounds(
-            self._states,
-            self._function,
-            eff_initiators,
-            eff_peers,
-            eff_completed,
-            self._scratch,
-        )
+    def run(self, cycles: int) -> SimulationTrace:
+        """Run ``cycles`` consecutive cycles and return the trace.
 
-        completed = (
-            int(eff_initiators.size)
-            if eff_completed is None
-            else int(np.count_nonzero(eff_completed))
-        )
-        # Every non-completed slot failed: unusable peer, dropped exchange,
-        # or lost response.
-        failed = int(plan.initiators.size) - completed
-
-        self._last_eff_initiators = eff_initiators
-        self._last_eff_peers = eff_peers
-        self._last_contact_participants = participants
-
-        self._overlay.after_cycle(self._overlay_rng)
-        return self._maybe_record(completed, failed)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _participants_array(self) -> np.ndarray:
-        """Sorted participant ids, cached until membership changes."""
-        if self._participants_cache is None:
-            self._participants_cache = np.flatnonzero(self._participant_mask)
-        return self._participants_cache
-
-    def _is_participant(self, node_id: int) -> bool:
-        return 0 <= node_id < self._capacity and bool(self._participant_mask[node_id])
-
-    def _encode_value(self, value: Any) -> np.ndarray:
-        return self._function.initial_state_array(np.asarray([value], dtype=np.float64))[0]
-
-    def _ensure_capacity(self, node_id: int) -> None:
-        if node_id < self._capacity:
-            return
-        new_capacity = max(self._capacity * 2, node_id + 1)
-        states = np.zeros((new_capacity, self._width), dtype=np.float64)
-        states[: self._capacity] = self._states
-        self._states = states
-        for name in ("_participant_mask", "_non_participant_mask"):
-            mask = np.zeros(new_capacity, dtype=bool)
-            mask[: self._capacity] = getattr(self, name)
-            setattr(self, name, mask)
-        self._scratch = np.empty(new_capacity, dtype=np.int64)
-        self._capacity = new_capacity
-
-    def _flush_record(self) -> CycleRecord:
-        participants = self._participants_array()
-        if participants.size:
-            block = (
-                self._states
-                if participants.size == self._capacity
-                else self._states[participants]
-            )
-            estimates = self._function.estimate_array(block)
-        else:
-            estimates = np.empty(0, dtype=np.float64)
-        mean, variance, minimum, maximum = estimate_statistics(estimates)
-        return self._emit_record(
-            participant_count=int(participants.size),
-            mean=mean,
-            variance=variance,
-            minimum=minimum,
-            maximum=maximum,
-        )
+        With ``record_every > 1`` the final executed cycle is always
+        recorded, so ``trace.final`` reflects the end of the run.
+        """
+        if cycles < 0:
+            raise ConfigurationError("cycles must be non-negative")
+        for _ in range(cycles):
+            self.run_cycle()
+        # A zero-cycle engine run records a final cycle that
+        # ``record_every`` skipped.
+        self._engine.run(0)
+        return self.trace
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"VectorizedCycleSimulator(function={self._function.name}, "
-            f"participants={int(np.count_nonzero(self._participant_mask))}, "
-            f"cycle={self._cycle_index})"
+            f"VectorizedCycleSimulator(function={self.function.name}, "
+            f"participants={self._participants().size}, "
+            f"cycle={self.cycle_index})"
         )
